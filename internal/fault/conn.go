@@ -2,7 +2,8 @@ package fault
 
 import (
 	stdnet "net"
-	"time"
+
+	"repro/internal/simclock"
 )
 
 // Conn wraps a network connection with link-level fault injection: every
@@ -28,7 +29,7 @@ func WrapConn(c stdnet.Conn, inj *Injector) stdnet.Conn {
 func (c *Conn) Write(b []byte) (int, error) {
 	if c.inj.Should(SlowLink) {
 		if d := c.inj.DelayFor(SlowLink); d > 0 {
-			time.Sleep(d)
+			simclock.Sleep(d)
 		}
 	}
 	return c.Conn.Write(b)

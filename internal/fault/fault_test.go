@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,5 +125,29 @@ func TestKindStrings(t *testing.T) {
 			t.Fatalf("kind %d has empty or duplicate name %q", int(k), s)
 		}
 		seen[s] = true
+	}
+}
+
+// A sub-millisecond fsync stall arrives as configured, not rounded up to
+// the runtime timer's millisecond floor (a plain time.Sleep of 200µs takes
+// about 1.1ms on an idle process).
+func TestStoreStallIsPrecise(t *testing.T) {
+	const n, stall = 20, 200 * time.Microsecond
+	in := New(5).Rate(SyncStall, 1).Delay(SyncStall, stall)
+	st := NewStore(wal.NewMemStore(), in)
+	took := make([]time.Duration, n)
+	for i := range took {
+		start := time.Now()
+		if err := st.Sync(); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if took[0] < stall {
+		t.Fatalf("stalled sync returned in %v, want ≥ %v", took[0], stall)
+	}
+	if p50 := took[n/2]; p50 >= 500*time.Microsecond {
+		t.Fatalf("median stalled sync took %v, want < 500µs", p50)
 	}
 }

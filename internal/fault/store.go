@@ -1,8 +1,7 @@
 package fault
 
 import (
-	"time"
-
+	"repro/internal/simclock"
 	"repro/internal/wal"
 )
 
@@ -35,7 +34,7 @@ func (s *Store) AppendRecords(recs []wal.Record) (int, error) {
 func (s *Store) Sync() error {
 	if s.inj.Should(SyncStall) {
 		if d := s.inj.DelayFor(SyncStall); d > 0 {
-			time.Sleep(d)
+			simclock.Sleep(d)
 		}
 	}
 	if s.inj.Should(SyncErr) {

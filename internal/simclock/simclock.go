@@ -2,12 +2,34 @@
 // simulated database substrate. All simulated latencies are expressed in
 // microsecond-scale base durations and multiplied by a configurable Scale,
 // so experiments can trade wall-clock time for resolution without changing
-// the modelled ratios. Sub-200µs sleeps are finished with a short spin to
-// avoid the OS timer-granularity floor distorting small latencies.
+// the modelled ratios.
+//
+// Every sleep in the process, from every Clock and from Sleep itself, is
+// delivered by one process-wide waker. A sleeper pushes its deadline onto
+// a shared min-heap and blocks on its own channel; the waker waits for the
+// earliest deadline minus lead, spins the last lead with runtime.Gosched,
+// and then wakes every due sleeper. Only that one goroutine ever spins, so
+// concurrent sleepers cost no CPU of their own, and no sleeper ever
+// returns before its deadline.
+//
+// On Linux the waker blocks on a timerfd registered with the runtime
+// poller: the poller wakes on fd readiness, so the wait is not rounded up
+// to the whole milliseconds a runtime timer waits in. lead (60µs, about
+// the p90 latency of a timerfd wake on a 2-vCPU VM) covers the wake-up
+// latency and is spun. A sleeper that becomes the new earliest deadline
+// re-arms the timerfd. Elsewhere, or when the kernel refuses a timerfd,
+// the same loop waits on a time.Timer with a lead equal to the runtime
+// timer floor (1.2ms).
+//
+// The waker is the single goroutine in this repository whose lifetime no
+// value owns: it starts on the first sleep and runs for the life of the
+// process. While no sleep is pending it is parked in the poller (or on its
+// timer's channel) with nothing armed, so it costs nothing when idle.
+// Scale 0 never reaches it.
 package simclock
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -47,8 +69,7 @@ func (c *Clock) Sleep(d time.Duration) {
 	if s == 0 {
 		return
 	}
-	scaled := time.Duration(int64(d) * s / 1e6)
-	preciseSleep(scaled)
+	Sleep(time.Duration(int64(d) * s / 1e6))
 }
 
 // VirtualSpent reports the total unscaled virtual time slept so far, for
@@ -57,23 +78,18 @@ func (c *Clock) VirtualSpent() time.Duration {
 	return time.Duration(c.spent.Load())
 }
 
-// preciseSleep sleeps with ~10µs accuracy: long waits use time.Sleep, the
-// final stretch spins. The spin ceiling keeps CPU burn bounded. The spin
-// yields the processor on every check: simulated latencies model time
-// passing, not CPU consumption (CPU contention is modelled by core tokens),
-// so concurrent sleeps must make progress together even when the host has
-// fewer cores than sleepers — on a single-core machine a tight spin would
-// serialize every overlapping latency and distort all concurrency effects.
-func preciseSleep(d time.Duration) {
+// processWaker is the waker every sleep in the process goes through,
+// started on first use.
+var processWaker = sync.OnceValue(func() *waker { return newWaker(newAlarm()) })
+
+// Sleep pauses for the wall-clock duration d, unscaled, and returns no
+// sooner than d after it was called. Unlike time.Sleep it is not rounded
+// up to the runtime timer's millisecond floor, so sub-millisecond delays
+// (injected link and fsync stalls as well as Clock sleeps) arrive as
+// asked.
+func Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	const spinWindow = 150 * time.Microsecond
-	start := time.Now()
-	if d > spinWindow {
-		time.Sleep(d - spinWindow)
-	}
-	for time.Since(start) < d {
-		runtime.Gosched()
-	}
+	processWaker().sleep(d)
 }
