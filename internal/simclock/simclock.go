@@ -21,11 +21,12 @@
 // the same loop waits on a time.Timer with a lead equal to the runtime
 // timer floor (1.2ms).
 //
-// The waker is the single goroutine in this repository whose lifetime no
-// value owns: it starts on the first sleep and runs for the life of the
+// The waker is the one exception to the rule that a goroutine belongs to
+// a value whose stop method ends it: it serves every Clock at once, so no
+// Clock owns it. It starts on the first sleep and runs for the life of the
 // process. While no sleep is pending it is parked in the poller (or on its
-// timer's channel) with nothing armed, so it costs nothing when idle.
-// Scale 0 never reaches it.
+// timer's channel), so it costs nothing when idle. Scale 0 never reaches
+// it.
 package simclock
 
 import (

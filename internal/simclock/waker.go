@@ -1,7 +1,7 @@
 package simclock
 
 import (
-	"math"
+	"container/heap"
 	"runtime"
 	"sync"
 	"time"
@@ -22,15 +22,28 @@ type alarm interface {
 	wait()
 }
 
-// sleeper is one blocked Sleep: its deadline and the channel it waits on.
+// sleeper is one blocked Sleep: its deadline and the channel the waker
+// closes to release it.
 type sleeper struct {
 	at   int64 // deadline, nanoseconds on monotime
 	done chan struct{}
 }
 
-// donePool recycles sleepers' wake channels (buffered 1: the waker's one
-// send never blocks).
-var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+// sleepers is a min-heap on deadline (container/heap).
+type sleepers []sleeper
+
+func (h sleepers) Len() int           { return len(h) }
+func (h sleepers) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h sleepers) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *sleepers) Push(x any)        { *h = append(*h, x.(sleeper)) }
+func (h *sleepers) Pop() any {
+	old := *h
+	n := len(old) - 1
+	s := old[n]
+	old[n] = sleeper{}
+	*h = old[:n]
+	return s
+}
 
 // epoch anchors monotime; time.Since reads the monotonic clock.
 var epoch = time.Now()
@@ -39,15 +52,17 @@ func monotime() int64 { return int64(time.Since(epoch)) }
 
 // waker delivers sleeps. Sleepers queue on a min-heap of deadlines and
 // block; the run loop waits on the alarm until lead before the earliest
-// deadline, spins the rest, and wakes every due sleeper.
+// deadline, spins the rest, and wakes every due sleeper. Whoever changes
+// the earliest deadline (a sleeper pushing a new one, or the loop before
+// it waits) re-arms the alarm under mu, so the alarm always targets the
+// current earliest deadline; a stale firing only costs the loop one
+// extra pass.
 type waker struct {
 	al   alarm
 	lead int64 // ns
 
-	mu      sync.Mutex
-	heap    []sleeper // min-heap on at
-	blocked bool      // the loop is in al.wait
-	firesAt int64     // while blocked: when the alarm fires (MaxInt64 = unarmed)
+	mu   sync.Mutex
+	heap sleepers
 }
 
 // newWaker starts a waker's run loop, which never exits.
@@ -60,89 +75,42 @@ func newWaker(al alarm, lead time.Duration) *waker {
 // sleep blocks until d has passed.
 func (w *waker) sleep(d time.Duration) {
 	now := monotime()
-	s := sleeper{at: now + int64(d), done: donePool.Get().(chan struct{})}
+	s := sleeper{at: now + int64(d), done: make(chan struct{})}
 	w.mu.Lock()
-	w.push(s)
-	if fire := s.at - w.lead; w.blocked && fire < w.firesAt {
-		w.armLocked(fire, now)
+	heap.Push(&w.heap, s)
+	if w.heap[0].done == s.done {
+		w.armLocked(now)
 	}
 	w.mu.Unlock()
 	<-s.done
-	donePool.Put(s.done)
 }
 
 func (w *waker) run() {
 	for {
 		w.mu.Lock()
-		w.blocked = false
 		now := monotime()
 		for len(w.heap) > 0 && w.heap[0].at <= now {
-			w.pop().done <- struct{}{}
+			close(heap.Pop(&w.heap).(sleeper).done)
 		}
-		fire := int64(math.MaxInt64)
-		if len(w.heap) > 0 {
-			fire = w.heap[0].at - w.lead
-		}
-		if fire <= now {
+		if len(w.heap) > 0 && w.heap[0].at-w.lead <= now {
 			// Inside the lead of the earliest deadline: spin, yielding so
 			// the goroutines that share this processor keep running.
 			w.mu.Unlock()
 			runtime.Gosched()
 			continue
 		}
-		w.blocked = true
-		w.firesAt = math.MaxInt64
 		if len(w.heap) > 0 {
-			w.armLocked(fire, now)
+			w.armLocked(now)
 		}
 		w.mu.Unlock()
 		w.al.wait()
 	}
 }
 
-// armLocked arms the alarm to fire at fire (on monotime), given the
-// current time now.
-func (w *waker) armLocked(fire, now int64) {
-	w.firesAt = fire
-	w.al.arm(time.Duration(max(fire-now, 1)))
-}
-
-func (w *waker) push(s sleeper) {
-	h := append(w.heap, s)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	w.heap = h
-}
-
-func (w *waker) pop() sleeper {
-	h := w.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = sleeper{}
-	h = h[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1].at < h[c].at {
-			c++
-		}
-		if h[i].at <= h[c].at {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	w.heap = h
-	return top
+// armLocked arms the alarm for lead before the earliest deadline, given
+// the current time now.
+func (w *waker) armLocked(now int64) {
+	w.al.arm(time.Duration(max(w.heap[0].at-w.lead-now, 1)))
 }
 
 // timerAlarm is the portable alarm: a runtime timer.
