@@ -5,45 +5,38 @@
 //
 // Usage:
 //
-//	asyncq [-analyze] [-ddg] [-flat] [-run] [-threads N] [-batch N] [-shards N] [-replicas N]
-//	       [-reshard N] [-durability off|group|strict] [-stats] [-slowlog 5ms] file.mq
+//	asyncq [-analyze] [-ddg] [-flat] [-run] [-threads N] [-batch N] [-stats] [-slowlog 5ms] file.mq
+//	asyncq -serve [-addr host:port] [-rows N] [-inflight N] [-replicas N]
+//	       [-durability off|group|strict] [-scale F] [-stats]
 //
 // With no flags the transformed program is printed (readable form, §V).
-// With -run -batch N the transformed program's submissions are coalesced
-// into batches of up to N requests (0 = batching off) and the batch
-// statistics are reported. With -run -shards N each request is additionally
-// routed across N partitions by its first argument (internal/shard's hash
-// partitioner) and the per-shard request distribution is reported —
-// results are unchanged, since the deterministic test service is a pure
-// function of the request. With -replicas R each shard's reads additionally
-// rotate round-robin over R read replicas (internal/replica's balancing
-// policy) and the per-shard, per-replica distribution is reported. With
-// -durability each modeled shard additionally runs a write-ahead log
-// (internal/wal) in the given commit mode and every submission is logged and
-// acknowledged per that mode; the per-shard record/fsync counts show how
-// group commit amortizes durability exactly as batching amortizes round
-// trips. With -reshard N the modeled cluster routes by a live hash-range
-// ownership map (internal/shard's Ranges) instead of the static partitioner:
-// the last shard starts rangeless, and after N routed requests the hottest
-// shard's range is split onto it — a modeled copy window follows during
-// which requests landing in the moving range are counted as double-writes,
-// then routing flips to the new generation. The migration counters
-// (generation, splits, ranges moved, rows copied, double-writes) appear in
-// the unified -stats registry dump.
 //
-// With -stats the run's observability registry — request/queue/batch-wait
-// span histograms, executor counters, and (with -durability) per-shard WAL
-// state — is dumped to stderr in one unified report, replacing the ad-hoc
-// per-shard record/fsync printout. With -slowlog every request slower than
-// the threshold has its span tree rendered to stderr as it completes.
+// With -run the original and the transformed program both execute against
+// a deterministic test service (internal/testsvc) — the original blocking,
+// the transformed through a pool of -threads workers — and the results are
+// compared: the paper's own correctness check. With -batch N the
+// transformed program's submissions are coalesced into batches of up to N
+// requests (0 = batching off) and the batch statistics are reported. With
+// -stats the run's observability registry — request/queue/batch-wait span
+// histograms and executor counters — is dumped to stderr. With -slowlog
+// every request slower than the threshold has its span tree rendered to
+// stderr as it completes.
+//
+// With -serve the simulated database (a replica group over the simulated
+// server) is served over the wire protocol (internal/net) until SIGINT or
+// SIGTERM; -replicas and -durability configure that group, and -stats dumps
+// its registry on shutdown. The sharded, replicated, durable and elastic
+// cluster is exercised end to end by cmd/experiments and cmd/loadgen.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sync"
-	"sync/atomic"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -53,323 +46,170 @@ import (
 	"repro/internal/ir"
 	"repro/internal/minilang"
 	"repro/internal/obs"
-	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/testsvc"
-	"repro/internal/wal"
 )
 
 func main() {
-	analyze := flag.Bool("analyze", false, "print the applicability analysis instead of code")
-	ddg := flag.Bool("ddg", false, "print the DDG of each loop in Graphviz dot form")
-	flat := flag.Bool("flat", false, "print guarded-statement form (skip the §V regrouping)")
-	run := flag.Bool("run", false, "run original and transformed against a deterministic service and compare")
-	threads := flag.Int("threads", 8, "worker threads for -run")
-	batchSize := flag.Int("batch", 0, "coalesce submissions into batches of up to N requests for -run (0 = off)")
-	shards := flag.Int("shards", 1, "partition -run requests across N shards by first argument (1 = off)")
-	replicas := flag.Int("replicas", 1, "rotate each shard's -run reads over N read replicas (1 = off)")
-	reshardAt := flag.Int64("reshard", 0, "with -run -shards N: route by a live hash-range map and split the hottest shard after this many routed requests (0 = off)")
-	durability := flag.String("durability", "", "log each modeled shard's -run submissions through a WAL in this commit mode (off|group|strict; empty = no WAL)")
-	stats := flag.Bool("stats", false, "after -run, dump the unified metrics registry (span histograms, executor counters, WAL state) to stderr")
-	slowlog := flag.Duration("slowlog", 0, "render -run requests slower than this wall-clock threshold as span trees on stderr (0 = off)")
-	doServe := flag.Bool("serve", false, "serve the simulated database over the wire protocol (internal/net) instead of transforming a program")
-	addr := flag.String("addr", "127.0.0.1:7474", "-serve listen address")
-	rows := flag.Int("rows", 10000, "-serve: rows preloaded into the `load` table")
-	inflight := flag.Int("inflight", 64, "-serve: admission budget (max concurrently executing request units; 0 = unlimited)")
-	scale := flag.Float64("scale", 0.02, "-serve: simulated-time scale factor for the backing server")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command body: it parses args, writes the program output to
+// stdout and reports to stderr, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("asyncq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	analyze := fs.Bool("analyze", false, "print the applicability analysis instead of code")
+	ddg := fs.Bool("ddg", false, "print the DDG of each loop in Graphviz dot form")
+	flat := fs.Bool("flat", false, "print guarded-statement form (skip the §V regrouping)")
+	doRun := fs.Bool("run", false, "run original and transformed against a deterministic service and compare")
+	threads := fs.Int("threads", 8, "worker threads for -run")
+	batchSize := fs.Int("batch", 0, "coalesce submissions into batches of up to N requests for -run (0 = off)")
+	stats := fs.Bool("stats", false, "dump the unified metrics registry to stderr after -run or on -serve shutdown")
+	slowlog := fs.Duration("slowlog", 0, "render -run requests slower than this wall-clock threshold as span trees on stderr (0 = off)")
+	doServe := fs.Bool("serve", false, "serve the simulated database over the wire protocol (internal/net) instead of transforming a program")
+	addr := fs.String("addr", "127.0.0.1:7474", "-serve listen address")
+	rows := fs.Int("rows", 10000, "-serve: rows preloaded into the load table")
+	inflight := fs.Int("inflight", 64, "-serve: admission budget (max concurrently executing request units; 0 = unlimited)")
+	replicas := fs.Int("replicas", 1, "-serve: read replicas in the served replica group")
+	durability := fs.String("durability", "", "-serve: the replica group's WAL commit mode (off|group|strict; empty = group)")
+	scale := fs.Float64("scale", 0.02, "-serve: simulated-time scale factor for the backing server")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *doServe {
-		if err := serve(serveOptions{
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
+		s, err := serve(serveOptions{
 			addr: *addr, rows: *rows, inflight: *inflight,
 			replicas: *replicas, durability: *durability,
-			scale: *scale, stats: *stats,
-		}); err != nil {
-			fatal(err)
+			scale: *scale,
+		}, stdout)
+		if err != nil {
+			return fail(stderr, err)
 		}
-		return
+		<-sig
+		if err := s.shutdown(stderr, *stats); err != nil {
+			return fail(stderr, err)
+		}
+		return 0
 	}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: asyncq [flags] file.mq")
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: asyncq [flags] file.mq")
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	proc, err := minilang.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	if *ddg {
-		printDDGs(proc)
-		return
+		printDDGs(proc, stdout, stderr)
+		return 0
 	}
 
 	opts := core.Options{Readable: !*flat, SplitNested: true}
 	trans, rep, err := core.Transform(proc, opts)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	if *analyze {
-		fmt.Printf("procedure %s: %d opportunity site(s), %d transformed\n",
+		fmt.Fprintf(stdout, "procedure %s: %d opportunity site(s), %d transformed\n",
 			rep.Proc, rep.Opportunities(), rep.TransformedCount())
 		for i, s := range rep.Sites {
 			status := "transformed"
 			if !s.Transformed() {
 				status = "NOT transformed"
 			}
-			fmt.Printf("  site %d: %s — %s (queries: %d, converted: %d, reorder: %v, ruleB: %v)\n",
+			fmt.Fprintf(stdout, "  site %d: %s — %s (queries: %d, converted: %d, reorder: %v, ruleB: %v)\n",
 				i+1, s.Loop, status, s.Queries, s.Converted, s.UsedReorder, s.UsedFlatten)
 			for _, r := range s.Reasons {
-				fmt.Printf("    reason: %s\n", r)
+				fmt.Fprintf(stdout, "    reason: %s\n", r)
 			}
 		}
-		return
+		return 0
 	}
 
-	fmt.Print(ir.Print(trans))
+	fmt.Fprint(stdout, ir.Print(trans))
+	if !*doRun {
+		return 0
+	}
 
-	if *run {
-		reg := ir.NewRegistry()
-		in1 := interp.New(reg, testsvc.NewSync())
-		args := defaultArgs(proc)
-		r1, err := in1.Run(proc, args)
-		if err != nil {
-			fatal(fmt.Errorf("run original: %w", err))
+	reg := ir.NewRegistry()
+	in1 := interp.New(reg, testsvc.NewSync())
+	pargs := defaultArgs(proc)
+	r1, err := in1.Run(proc, pargs)
+	if err != nil {
+		return fail(stderr, fmt.Errorf("run original: %w", err))
+	}
+	var svc *exec.Service
+	if *batchSize > 1 {
+		svc = batch.NewService(*threads, testsvc.Runner(), testsvc.BatchRunner(),
+			batch.Options{MaxBatch: *batchSize})
+	} else {
+		svc = exec.NewService(*threads, testsvc.Runner())
+	}
+	defer svc.Close()
+	// -stats / -slowlog turn on the observability stack: one root span per
+	// submission (the deterministic test runner needs no span runners —
+	// queue wait and batch coalescing are still measured), with the
+	// executor counters pulled into the same registry.
+	var obsReg *obs.Registry
+	if *stats || *slowlog > 0 {
+		obsReg = obs.NewRegistry()
+		tr := obs.NewTracer(obsReg)
+		if *slowlog > 0 {
+			tr.SetSlowLog(*slowlog, stderr)
 		}
-		// With -shards the deterministic backend is treated as N partitions:
-		// every request is routed by its first argument through the shard
-		// package's hash partitioner and counted, so the reported
-		// distribution shows how the transformed program's submissions
-		// would spread across a sharded cluster. With -replicas each
-		// partition's reads additionally rotate round-robin across R read
-		// replicas, modelling the replica group's balancing: a whole batch
-		// (or rather, its per-shard sub-batch) rides to ONE replica, exactly
-		// as internal/replica routes read batches.
-		run := testsvc.Runner()
-		runBatch := testsvc.BatchRunner()
-		var perShard []int64
-		var perReplica [][]int64
-		var rr []atomic.Int64
-		var mig *reshardModel
-		if *reshardAt > 0 {
-			if *shards < 2 {
-				fatal(fmt.Errorf("-reshard requires -shards >= 2 (the last shard is the split target)"))
-			}
-			mig = newReshardModel(*shards, *reshardAt)
-		}
-		if *shards > 1 || *replicas > 1 {
-			perShard = make([]int64, max(*shards, 1))
-			if *replicas > 1 {
-				perReplica = make([][]int64, len(perShard))
-				for i := range perReplica {
-					perReplica[i] = make([]int64, *replicas)
-				}
-				rr = make([]atomic.Int64, len(perShard))
-			}
-			shardOf := func(args []any) int {
-				if len(args) > 0 {
-					if mig != nil {
-						return mig.route(args[0])
-					}
-					return shard.Partition(args[0], len(perShard))
-				}
-				return 0
-			}
-			// countReads books n reads on the next replica of shard s's
-			// rotation: n == 1 for a single request, n == the sub-batch size
-			// for a batch, which visits one replica per round trip.
-			countReads := func(s, n int) {
-				if perReplica != nil {
-					r := int(rr[s].Add(1)-1) % *replicas
-					atomic.AddInt64(&perReplica[s][r], int64(n))
-				}
-			}
-			baseRun, baseBatch := run, runBatch
-			run = func(req query.Request) query.Result {
-				s := shardOf(req.Args)
-				atomic.AddInt64(&perShard[s], 1)
-				countReads(s, 1)
-				return baseRun(req)
-			}
-			runBatch = func(req query.BatchRequest) query.BatchResult {
-				subBatch := make(map[int]int, len(perShard))
-				for _, args := range req.ArgSets {
-					s := shardOf(args)
-					atomic.AddInt64(&perShard[s], 1)
-					subBatch[s]++
-				}
-				for s := 0; s < len(perShard); s++ {
-					if n := subBatch[s]; n > 0 {
-						countReads(s, n)
-					}
-				}
-				return baseBatch(req)
-			}
-		}
-		// With -durability every successful submission is appended to its
-		// modeled shard's write-ahead log and acknowledged per the chosen
-		// commit mode before the runner returns, so the reported fsync
-		// counts show the group-commit amortization: a coalesced batch's
-		// per-shard sub-batch becomes one append of many records, and
-		// concurrent commits share fsyncs.
-		var walLogs []*wal.Log
-		if *durability != "" {
-			mode, err := wal.ParseMode(*durability)
-			if err != nil {
-				fatal(err)
-			}
-			walLogs = make([]*wal.Log, max(*shards, 1))
-			for i := range walLogs {
-				walLogs[i] = wal.New(wal.Options{Mode: mode})
-			}
-			logOf := func(args []any) *wal.Log {
-				if len(args) > 0 {
-					if mig != nil {
-						// Follow the live range map so a record lands on the
-						// shard that owns its key at commit time.
-						return walLogs[mig.owner(args[0])]
-					}
-					return walLogs[shard.Partition(args[0], len(walLogs))]
-				}
-				return walLogs[0]
-			}
-			baseRun, baseBatch := run, runBatch
-			run = func(req query.Request) query.Result {
-				res := baseRun(req)
-				if res.Err == nil {
-					l := logOf(req.Args)
-					l.Commit(l.Append(req.Name, req.SQL, [][]any{req.Args}))
-				}
-				return res
-			}
-			runBatch = func(req query.BatchRequest) query.BatchResult {
-				br := baseBatch(req)
-				sub := make(map[*wal.Log][][]any, len(walLogs))
-				for i, args := range req.ArgSets {
-					if br.Errs == nil || br.Errs[i] == nil {
-						l := logOf(args)
-						sub[l] = append(sub[l], args)
-					}
-				}
-				for l, sets := range sub {
-					l.Commit(l.Append(req.Name, req.SQL, sets))
-				}
-				return br
-			}
-		}
-		var svc *exec.Service
-		if *batchSize > 1 {
-			svc = batch.NewService(*threads, run, runBatch,
-				batch.Options{MaxBatch: *batchSize})
-		} else {
-			svc = exec.NewService(*threads, run)
-		}
-		defer svc.Close()
-		// -stats / -slowlog turn on the observability stack: one root span
-		// per submission (the deterministic test runner needs no span
-		// runners — queue wait and batch coalescing are still measured),
-		// with WAL state and executor counters pulled into one registry.
-		var obsReg *obs.Registry
-		if *stats || *slowlog > 0 {
-			obsReg = obs.NewRegistry()
-			tr := obs.NewTracer(obsReg)
-			if *slowlog > 0 {
-				tr.SetSlowLog(*slowlog, os.Stderr)
-			}
-			svc.EnableTracing(tr)
-			obsReg.RegisterSource("exec", func() map[string]float64 {
-				submitted, completed := svc.Stats()
-				batches, avg := svc.BatchStats()
-				return map[string]float64{
-					"submitted": float64(submitted),
-					"completed": float64(completed),
-					"batches":   float64(batches),
-					"batch.avg": avg,
-				}
-			})
-			for i, l := range walLogs {
-				l := l
-				l.SetMetrics(obsReg)
-				obsReg.RegisterSource(fmt.Sprintf("shard%d.wal", i), func() map[string]float64 {
-					return l.Stats().Metrics()
-				})
-			}
-			if mig != nil {
-				// Migration counters ride the unified dump like every other
-				// subsystem, not a side-channel printout.
-				obsReg.RegisterSource("shard.migrations", mig.metrics)
-			}
-		}
-		in2 := interp.New(reg, svc)
-		r2, err := in2.Run(trans, args)
-		if err != nil {
-			fatal(fmt.Errorf("run transformed: %w", err))
-		}
-		if mig != nil {
-			// The request stream is over: a copy window still open completes
-			// and flips now, so the reports see the final generation.
-			mig.finish()
-		}
-		same := r1.Output == r2.Output && len(r1.Returned) == len(r2.Returned)
-		for i := range r1.Returned {
-			same = same && interp.Equal(r1.Returned[i], r2.Returned[i])
-		}
-		fmt.Fprintf(os.Stderr, "\n-- run: results identical: %v; returns: %v\n",
-			same, formatVals(r1.Returned))
-		if *batchSize > 1 {
-			submitted, _ := svc.Stats()
+		svc.EnableTracing(tr)
+		obsReg.RegisterSource("exec", func() map[string]float64 {
+			submitted, completed := svc.Stats()
 			batches, avg := svc.BatchStats()
-			fmt.Fprintf(os.Stderr, "-- batch: %d submissions coalesced into %d batches (avg size %.1f)\n",
-				submitted, batches, avg)
-		}
-		if *shards > 1 {
-			fmt.Fprintf(os.Stderr, "-- shards: requests per shard: %v\n", perShard)
-		}
-		if mig != nil && !*stats {
-			// The unified -stats dump carries these counters when requested.
-			fmt.Fprintf(os.Stderr, "-- reshard: %s\n", mig.report())
-		}
-		if perReplica != nil {
-			fmt.Fprintf(os.Stderr, "-- replicas: reads per shard/replica: %v\n", perReplica)
-		}
-		// Drain the pool before reading final WAL/span state: every pending
-		// handle completes (ending its request span) before the dump.
-		svc.Close()
-		if walLogs != nil {
-			var recs, syncs int64
-			perLog := make([]int64, len(walLogs))
-			for i, l := range walLogs {
-				l.SyncTo(l.LastLSN())
-				st := l.Stats()
-				perLog[i] = st.Appends
-				recs += st.SyncedRecords
-				syncs += st.Syncs
+			return map[string]float64{
+				"submitted": float64(submitted),
+				"completed": float64(completed),
+				"batches":   float64(batches),
+				"batch.avg": avg,
 			}
-			if !*stats {
-				// The unified -stats dump below subsumes this ad-hoc report.
-				avg := 0.0
-				if syncs > 0 {
-					avg = float64(recs) / float64(syncs)
-				}
-				fmt.Fprintf(os.Stderr, "-- durability %s: %d records durable in %d fsyncs (%.1f records/fsync); records per shard: %v\n",
-					*durability, recs, syncs, avg, perLog)
-			}
-		}
-		if *stats && obsReg != nil {
-			fmt.Fprintln(os.Stderr, "\n-- stats:")
-			if err := obsReg.Dump(os.Stderr); err != nil {
-				fatal(err)
-			}
-		}
-		for _, l := range walLogs {
-			l.Close()
+		})
+	}
+	in2 := interp.New(reg, svc)
+	r2, err := in2.Run(trans, pargs)
+	if err != nil {
+		return fail(stderr, fmt.Errorf("run transformed: %w", err))
+	}
+	same := r1.Output == r2.Output && len(r1.Returned) == len(r2.Returned)
+	for i := range r1.Returned {
+		same = same && interp.Equal(r1.Returned[i], r2.Returned[i])
+	}
+	fmt.Fprintf(stderr, "\n-- run: results identical: %v; returns: %v\n",
+		same, formatVals(r1.Returned))
+	if *batchSize > 1 {
+		submitted, _ := svc.Stats()
+		batches, avg := svc.BatchStats()
+		fmt.Fprintf(stderr, "-- batch: %d submissions coalesced into %d batches (avg size %.1f)\n",
+			submitted, batches, avg)
+	}
+	// Drain the pool before reading final span state: every pending handle
+	// completes (ending its request span) before the dump.
+	svc.Close()
+	if *stats {
+		fmt.Fprintln(stderr, "\n-- stats:")
+		if err := obsReg.Dump(stderr); err != nil {
+			return fail(stderr, err)
 		}
 	}
+	return 0
 }
 
 // defaultArgs supplies simple arguments so -run works on programs with
@@ -401,7 +241,7 @@ func formatVals(vals []interp.Value) string {
 	return out + "]"
 }
 
-func printDDGs(proc *ir.Proc) {
+func printDDGs(proc *ir.Proc, stdout, stderr io.Writer) {
 	reg := ir.NewRegistry()
 	n := 0
 	ir.WalkStmts(proc.Body, func(s ir.Stmt) {
@@ -409,153 +249,16 @@ func printDDGs(proc *ir.Proc) {
 		case *ir.While, *ir.ForEach, *ir.Scan:
 			n++
 			g := dataflow.BuildLoop(s, reg)
-			fmt.Print(g.Dot(fmt.Sprintf("%s_loop%d", proc.Name, n)))
+			fmt.Fprint(stdout, g.Dot(fmt.Sprintf("%s_loop%d", proc.Name, n)))
 		}
 	})
 	if n == 0 {
-		fmt.Fprintln(os.Stderr, "asyncq: no loops found")
+		fmt.Fprintln(stderr, "asyncq: no loops found")
 	}
 }
 
-// reshardModel routes -run requests by a live hash-range ownership map and
-// walks one split through the migration protocol's phases in miniature:
-// after `trigger` routed requests the hottest shard's widest range is
-// halved onto the reserved last shard, a copy window of copyWindow further
-// requests follows during which requests landing in the moving range still
-// route to the old owner but are counted as double-writes, and then the
-// routing flips to the new generation. "Rows copied" is the number of
-// distinct keys seen so far that the flip hands to the new owner — the
-// modeled population of the moved range.
-type reshardModel struct {
-	mu                                            sync.Mutex
-	rg                                            *shard.Ranges
-	pending                                       *shard.Ranges // built at trigger, installed at flip
-	phase                                         int           // 0 before trigger, 1 copy window, 2 flipped
-	trigger                                       int64
-	flipAt                                        int64
-	routed                                        int64
-	hot                                           int
-	newIdx                                        int
-	counts                                        []int64
-	seen                                          map[uint64]struct{}
-	splits, rangesMoved, rowsCopied, doubleWrites int64
-}
-
-// copyWindow is the modeled length of the copy phase, in routed requests.
-const copyWindow = 32
-
-func newReshardModel(shards int, trigger int64) *reshardModel {
-	// The last shard starts rangeless: it is the split's target, so the
-	// per-shard accounting arrays sized for `shards` stay index-stable
-	// across the migration.
-	return &reshardModel{
-		rg:      shard.NewRanges(shards - 1),
-		trigger: trigger,
-		newIdx:  shards - 1,
-		counts:  make([]int64, shards),
-		seen:    make(map[uint64]struct{}),
-	}
-}
-
-// route returns the owner of arg under the live map, advancing the modeled
-// migration as the request stream crosses its phase boundaries.
-func (m *reshardModel) route(arg any) int {
-	h := shard.Hash64(arg)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.routed++
-	switch m.phase {
-	case 0:
-		if m.routed >= m.trigger {
-			m.begin()
-		}
-	case 1:
-		if m.routed >= m.flipAt {
-			m.flip()
-		}
-	}
-	s := m.rg.Owner(h)
-	m.counts[s]++
-	m.seen[h] = struct{}{}
-	if m.phase == 1 && m.pending.Owner(h) == m.newIdx {
-		// In the copy window a request whose key is moving still executes
-		// on the old owner and is mirrored to the new one.
-		m.doubleWrites++
-	}
-	return s
-}
-
-// owner reports arg's owner under the live map without accounting it.
-func (m *reshardModel) owner(arg any) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rg.Owner(shard.Hash64(arg))
-}
-
-// begin picks the hottest current owner and stages the split.
-func (m *reshardModel) begin() {
-	hot := 0
-	for _, s := range m.rg.Owners() {
-		if m.counts[s] > m.counts[hot] {
-			hot = s
-		}
-	}
-	next, _, err := m.rg.Split(hot, m.newIdx)
-	if err != nil {
-		m.phase = 2 // unsplittable (degenerate map): stay put
-		return
-	}
-	m.hot, m.pending = hot, next
-	m.flipAt = m.routed + copyWindow
-	m.phase = 1
-}
-
-// flip installs the new generation and books the copy.
-func (m *reshardModel) flip() {
-	for h := range m.seen {
-		if m.pending.Owner(h) == m.newIdx {
-			m.rowsCopied++
-		}
-	}
-	m.rg = m.pending
-	m.pending = nil
-	m.splits++
-	m.rangesMoved++
-	m.phase = 2
-}
-
-// finish completes a copy window left open when the request stream ended.
-func (m *reshardModel) finish() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.phase == 1 {
-		m.flip()
-	}
-}
-
-func (m *reshardModel) metrics() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return map[string]float64{
-		"generation":    float64(m.rg.Generation()),
-		"splits":        float64(m.splits),
-		"ranges.moved":  float64(m.rangesMoved),
-		"rows.copied":   float64(m.rowsCopied),
-		"double.writes": float64(m.doubleWrites),
-	}
-}
-
-func (m *reshardModel) report() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.splits == 0 {
-		return fmt.Sprintf("no split: %d requests routed, trigger %d", m.routed, m.trigger)
-	}
-	return fmt.Sprintf("split shard %d onto %d (generation %d): %d ranges moved, %d rows copied, %d double-writes",
-		m.hot, m.newIdx, m.rg.Generation(), m.rangesMoved, m.rowsCopied, m.doubleWrites)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "asyncq:", err)
-	os.Exit(1)
+// fail prints err to stderr and returns exit code 1.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "asyncq:", err)
+	return 1
 }

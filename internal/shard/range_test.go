@@ -2,10 +2,22 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
-// Partition and the generation-0 range map are two views of the same
+// partition is the reference ownership function of a fresh n-way cluster:
+// the high word of Hash64(v)·n, the multiplicative range reduction, so
+// shard s owns the contiguous hash range [⌈s·2⁶⁴/n⌉, ⌈(s+1)·2⁶⁴/n⌉).
+func partition(v any, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	hi, _ := bits.Mul64(Hash64(v), uint64(shards))
+	return int(hi)
+}
+
+// partition and the generation-0 range map are two views of the same
 // ownership function: routing by either must agree for every key.
 func TestPartitionMatchesFreshRangeMap(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
@@ -14,14 +26,14 @@ func TestPartitionMatchesFreshRangeMap(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := int64(-50); i < 1000; i++ {
-			if got, want := rg.OwnerOf(i), Partition(i, n); got != want {
-				t.Fatalf("n=%d key=%d: range map owner %d, Partition %d", n, i, got, want)
+			if got, want := rg.OwnerOf(i), partition(i, n); got != want {
+				t.Fatalf("n=%d key=%d: range map owner %d, partition %d", n, i, got, want)
 			}
 		}
 		for i := 0; i < 200; i++ {
 			v := fmt.Sprintf("key-%d", i)
-			if got, want := rg.OwnerOf(v), Partition(v, n); got != want {
-				t.Fatalf("n=%d key=%q: range map owner %d, Partition %d", n, v, got, want)
+			if got, want := rg.OwnerOf(v), partition(v, n); got != want {
+				t.Fatalf("n=%d key=%q: range map owner %d, partition %d", n, v, got, want)
 			}
 		}
 	}

@@ -64,7 +64,6 @@ type Backend interface {
 	Close()
 	Stats() server.Stats
 
-	SetMetrics(reg *obs.Registry)
 	RegisterMetrics(reg *obs.Registry, prefix string)
 }
 
@@ -910,22 +909,12 @@ func (r *Router) BatchGroup(name, sql string, args []any) int {
 	return r.ranges.Load().OwnerOf(v)
 }
 
-// SetMetrics points every shard's passive instrumentation (WAL fsync
-// histograms) at reg. Safe to call at any time; a nil registry detaches.
-func (r *Router) SetMetrics(reg *obs.Registry) {
-	r.mig.RLock()
-	defer r.mig.RUnlock()
-	for _, b := range r.backends {
-		b.SetMetrics(reg)
-	}
-}
-
 // RegisterMetrics hooks the whole cluster's counters into reg as pull
 // sources: one "shard<i>." subtree per backend (server or replica-group
 // stats plus WAL state), a router-level source for the scatter planner, and
 // a "shard.migrations" source for the re-sharding machinery (generation,
-// splits, merges, ranges moved, rows copied, double-writes). It also calls
-// SetMetrics so fsync histograms land in the same registry. The hookup is
+// splits, merges, ranges moved, rows copied, double-writes). Each backend's
+// RegisterMetrics also points its fsync histograms at reg. The hookup is
 // remembered: a migration re-registers swapped and appended backends under
 // their shard index on flip.
 func (r *Router) RegisterMetrics(reg *obs.Registry, prefix string) {
@@ -943,7 +932,6 @@ func (r *Router) registerMetricsLocked() {
 		return
 	}
 	for i, b := range r.backends {
-		b.SetMetrics(reg)
 		b.RegisterMetrics(reg, fmt.Sprintf("%sshard%d.", prefix, i))
 	}
 	reg.RegisterSource(prefix+"router", func() map[string]float64 {

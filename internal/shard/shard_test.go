@@ -93,8 +93,8 @@ func same(t *testing.T, label string, want, got any, wantErr, gotErr error) {
 func TestPartitionIsDeterministicAndSpreads(t *testing.T) {
 	counts := make([]int, 4)
 	for i := int64(0); i < 1000; i++ {
-		s := Partition(i, 4)
-		if s != Partition(i, 4) {
+		s := partition(i, 4)
+		if s != partition(i, 4) {
 			t.Fatalf("unstable partition for %d", i)
 		}
 		if s < 0 || s >= 4 {
@@ -107,10 +107,10 @@ func TestPartitionIsDeterministicAndSpreads(t *testing.T) {
 			t.Fatalf("shard %d received no keys: %v", s, counts)
 		}
 	}
-	if Partition("abc", 3) != Partition("abc", 3) {
+	if partition("abc", 3) != partition("abc", 3) {
 		t.Fatal("unstable string partition")
 	}
-	if Partition(int64(42), 1) != 0 {
+	if partition(int64(42), 1) != 0 {
 		t.Fatal("single shard must own everything")
 	}
 }
@@ -521,7 +521,7 @@ func TestScatterPrunesBySecondaryIndexStats(t *testing.T) {
 	// Create a group that lives on exactly one shard: uids owned by shard 2.
 	var uids []int64
 	for i := int64(10000); len(uids) < 3; i++ {
-		if Partition(i, 4) == 2 {
+		if partition(i, 4) == 2 {
 			uids = append(uids, i)
 		}
 	}
